@@ -2,6 +2,7 @@ package benchdesigns
 
 import (
 	"fmt"
+	"sort"
 
 	"gdsiiguard/internal/gdsii"
 	"gdsiiguard/internal/layout"
@@ -178,8 +179,11 @@ func (s SoCSpec) Build() (*SoCDesign, error) {
 	}
 
 	// SoC primary inputs feed column-0 tiles and tiles shadowed by macros.
+	// Ports are created in sorted name order, not map order, so net IDs —
+	// and with them routing order among equal-HPWL nets — are the same on
+	// every build.
 	socIn := make(map[string]*netlist.Net, numIn)
-	for name := range inNet {
+	for _, name := range sortedKeys(inNet) {
 		p, err := nl.AddPort(name, netlist.In)
 		if err != nil {
 			return nil, err
@@ -268,7 +272,8 @@ func (s SoCSpec) Build() (*SoCDesign, error) {
 	for outTx > 0 && s.macroAt(outTx) {
 		outTx--
 	}
-	for portName, n := range outNets {
+	for _, portName := range sortedKeys(outNets) {
+		n := outNets[portName]
 		p, err := nl.AddPort(portName, netlist.Out)
 		if err != nil {
 			return nil, err
@@ -387,4 +392,14 @@ func widestFiller(rem int) int {
 		}
 	}
 	return w
+}
+
+// sortedKeys returns the map's keys in ascending order.
+func sortedKeys(m map[string]*netlist.Net) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -29,6 +29,32 @@ func smallSoC(t *testing.T) *SoCDesign {
 	return d
 }
 
+// TestSoCBuildDeterministic pins the stamped design down to its IDs: net
+// and port order decide routing order among equal-HPWL nets, so two builds
+// of one spec must number them identically, not in map iteration order.
+func TestSoCBuildDeterministic(t *testing.T) {
+	a, b := smallSoC(t), smallSoC(t)
+	na, nb := a.Layout.Netlist, b.Layout.Netlist
+	if len(na.Nets) != len(nb.Nets) || len(na.Ports) != len(nb.Ports) {
+		t.Fatalf("rebuild has %d nets/%d ports, want %d/%d", len(nb.Nets), len(nb.Ports), len(na.Nets), len(na.Ports))
+	}
+	for i, n := range na.Nets {
+		if nb.Nets[i].Name != n.Name {
+			t.Fatalf("net %d is %s in one build and %s in the other", i, n.Name, nb.Nets[i].Name)
+		}
+	}
+	for i, p := range na.Ports {
+		if nb.Ports[i].Name != p.Name {
+			t.Fatalf("port %d is %s in one build and %s in the other", i, p.Name, nb.Ports[i].Name)
+		}
+	}
+	for _, in := range na.Insts {
+		if a.Layout.PlacementOf(in) != b.Layout.PlacementOf(nb.Instance(in.Name)) {
+			t.Fatalf("placement of %s differs", in.Name)
+		}
+	}
+}
+
 func TestSoCStructure(t *testing.T) {
 	d := smallSoC(t)
 	nl := d.Layout.Netlist

@@ -24,3 +24,22 @@ var warmDeclineTotal = obs.Default().Counter(
 // (no donor cached, dirty fraction too high) record their reason through
 // the same counter.
 func CountWarmDecline(reason string) { warmDeclineTotal.With(reason).Inc() }
+
+// specNetsTotal counts how the parallel router committed each net of a
+// parallel routing pass: accepted (its speculative route was applied),
+// reexecuted (it was speculated, but its read rectangles overlapped an
+// earlier commit of its chunk, so it was routed again on the live grid) or
+// sequential (its chunk was not speculated, because speculation would not
+// have paid off on the chunk before). Every net lands in exactly one of the
+// three, once per pass, so accepted/(accepted+reexecuted) is how often
+// speculation pays off and reexecuted is the work it wasted.
+var specNetsTotal = obs.Default().Counter(
+	"gdsiiguard_route_spec_nets_total",
+	"Nets routed by the parallel router, by commit outcome.",
+	"outcome")
+
+var (
+	specNetsAccepted   = specNetsTotal.With("accepted")
+	specNetsReexecuted = specNetsTotal.With("reexecuted")
+	specNetsSequential = specNetsTotal.With("sequential")
+)

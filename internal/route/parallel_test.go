@@ -1,6 +1,7 @@
 package route
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -8,7 +9,7 @@ import (
 	"gdsiiguard/internal/layout"
 )
 
-// withWorkers forces the wave-parallel worker count for the duration of the
+// withWorkers forces the parallel-routing worker count for the duration of the
 // test and restores auto-selection afterwards. The test machine may have a
 // single CPU, so parallelism is always forced explicitly rather than
 // inherited from GOMAXPROCS.
@@ -26,10 +27,14 @@ func TestResolvedWorkers(t *testing.T) {
 	if got := ResolvedWorkers(10 * parallelMinNets); got != 4 {
 		t.Errorf("large batch: %d workers, want 4", got)
 	}
-	// The per-worker floor keeps speculation batches from getting uselessly
-	// small.
-	if got := ResolvedWorkers(parallelMinNets); got > parallelMinNets/minNetsPerWorker {
-		t.Errorf("tiny batch resolved to %d workers", got)
+	// The per-worker floor keeps speculation chunks from getting uselessly
+	// small: a batch never resolves to more workers than it fills one chunk
+	// (w × minNetsPerWorker nets) for.
+	SetWorkers(64)
+	for n := parallelMinNets; n < 4*parallelMinNets; n++ {
+		if w := ResolvedWorkers(n); w < 2 || w*minNetsPerWorker > n {
+			t.Fatalf("%d nets resolved to %d workers (chunk of %d nets)", n, w, w*minNetsPerWorker)
+		}
 	}
 	SetWorkers(1)
 	if got := ResolvedWorkers(10 * parallelMinNets); got != 1 {
@@ -78,11 +83,11 @@ func routeForced(t *testing.T, l *layout.Layout, seed int64, workers int) *Resul
 	return res
 }
 
-// TestParallelMatchesSequential is the wave-parallel equivalence gate:
+// TestParallelMatchesSequential is the parallel-routing equivalence gate:
 // routing with any worker count must be bit-identical — routes, usage grid,
 // wirelength, victims — to the sequential loop, across seeds and fixtures.
-// Worker counts also move the speculation batch boundaries, so this doubles
-// as the batch-order regression test.
+// Worker counts also move the speculation chunk boundaries, so this doubles
+// as the chunk-order regression test.
 func TestParallelMatchesSequential(t *testing.T) {
 	t.Cleanup(func() { SetWorkers(0) })
 	fixtures := map[string]*layout.Layout{
@@ -125,15 +130,34 @@ func TestParallelIndependentOfGOMAXPROCS(t *testing.T) {
 	sameResults(t, "gomaxprocs", parallel, serial)
 }
 
-// TestParallelUnderPressure forces rip-up (wide NDR on a dense mesh) so the
-// hashed victim ordering and the wave-parallel reroute of the victim batch
-// are both exercised and stay bit-identical to the sequential run.
-func TestParallelUnderPressure(t *testing.T) {
-	t.Cleanup(func() { SetWorkers(0) })
+// pressureMesh is the congested fixture: a dense mesh under a 1.5× wide NDR,
+// which forces rip-up.
+func pressureMesh(t testing.TB) *layout.Layout {
+	t.Helper()
 	l := placedMesh(t, 10, 30, 0.75)
 	for i := range l.NDR.Scale {
 		l.NDR.Scale[i] = 1.5
 	}
+	return l
+}
+
+// congestedLocalMesh is a serpentine mesh under a 2.5× wide NDR: congested
+// enough for rip-up, but its nets are local, so speculation mostly pays.
+func congestedLocalMesh(t testing.TB) *layout.Layout {
+	t.Helper()
+	l := placedLocalMesh(t, 8, 60, 40, 160)
+	for i := range l.NDR.Scale {
+		l.NDR.Scale[i] = 2.5
+	}
+	return l
+}
+
+// TestParallelUnderPressure forces rip-up so the hashed victim ordering and
+// the parallel reroute of the victim batch are both exercised and stay
+// bit-identical to the sequential run.
+func TestParallelUnderPressure(t *testing.T) {
+	t.Cleanup(func() { SetWorkers(0) })
+	l := pressureMesh(t)
 	want := routeForced(t, l, 4, 1)
 	t.Logf("pressure fixture: victims=%d overflow=%.1f", want.Victims, want.Overflow)
 	for _, w := range []int{2, 4} {
@@ -146,7 +170,7 @@ func TestParallelUnderPressure(t *testing.T) {
 }
 
 // TestParallelRouteConcurrentCallers routes the same layout from several
-// goroutines at once, each with wave-parallel workers enabled — the
+// goroutines at once, each with parallel workers enabled — the
 // exploration loop's shape (concurrent arenas, shared geometry) — and
 // checks every result. Run under -race this is the router's data-race gate.
 func TestParallelRouteConcurrentCallers(t *testing.T) {
@@ -175,11 +199,43 @@ func TestParallelRouteConcurrentCallers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	for c, res := range results {
-		if res == nil {
-			continue
+	for _, res := range results {
+		if res != nil {
+			sameResults(t, "concurrent", res, want)
 		}
-		_ = c
-		sameResults(t, "concurrent", res, want)
+	}
+}
+
+// BenchmarkRouteWorkers routes the congested fixtures at 1, 2 and 4
+// workers. Besides time it reports the parallel router's speculation volume
+// per route: at most one speculation per net per routing pass, so a return
+// to requeue-style repeated speculation shows up as spec-nets/op far above
+// the fixture's net count. The pressure mesh overlaps too much for
+// speculation to pay off and routes almost entirely sequentially; the local
+// mesh speculates.
+func BenchmarkRouteWorkers(b *testing.B) {
+	fixtures := []struct {
+		name string
+		l    *layout.Layout
+	}{
+		{"pressure", pressureMesh(b)},
+		{"local", congestedLocalMesh(b)},
+	}
+	for _, fx := range fixtures {
+		geo := BuildGeometry(fx.l)
+		for _, w := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%s/workers=%d", fx.name, w), func(b *testing.B) {
+				withWorkers(b, w)
+				acc0, re0 := specNetsAccepted.Value(), specNetsReexecuted.Value()
+				for i := 0; i < b.N; i++ {
+					if _, err := RouteWithGeometry(fx.l, Options{Seed: 4}, geo); err != nil {
+						b.Fatal(err)
+					}
+				}
+				acc, re := specNetsAccepted.Value()-acc0, specNetsReexecuted.Value()-re0
+				b.ReportMetric((acc+re)/float64(b.N), "spec-nets/op")
+				b.ReportMetric(re/float64(b.N), "reexec-nets/op")
+			})
+		}
 	}
 }

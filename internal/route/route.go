@@ -270,7 +270,7 @@ type router struct {
 	seed int64
 	// spec, when non-nil, makes this a speculative worker router: usage
 	// reads see committed usage through the overlay and usage writes land
-	// in the overlay only (wave-parallel routing; see parallel.go).
+	// in the overlay only (parallel routing; see parallel.go).
 	spec *usageOverlay
 	// track, when non-nil, accumulates the GCells whose usage rip-up
 	// changes — route.Warm's Δ mask, extended through the rip-up passes so
@@ -279,12 +279,12 @@ type router struct {
 }
 
 // routeAll routes the given geometry nets — a subsequence of geo.Order, in
-// canonical (descending-HPWL) order — dispatching to the wave-parallel path
-// when enough nets and workers are available. Both paths are bit-identical
-// (see parallel.go for the commit-protocol argument).
+// canonical (descending-HPWL) order — dispatching to the speculative
+// parallel path when enough nets and workers are available. Both paths are
+// bit-identical (see parallel.go for the commit-protocol argument).
 func (r *router) routeAll(order []int32) {
 	if w := ResolvedWorkers(len(order)); w > 1 && r.spec == nil {
-		r.routeWaves(order, w)
+		r.routeChunks(order, w)
 		return
 	}
 	for _, oi := range order {
@@ -490,7 +490,8 @@ func (r *router) walk(a, b geom.Point, f func(idx int)) {
 }
 
 // usageAt reads track usage as the router sees it: committed usage, or the
-// speculative overlay's effective value when this router is a wave worker.
+// speculative overlay's effective value when this router is a parallel
+// worker.
 func (r *router) usageAt(li, idx int) float64 {
 	if r.spec != nil {
 		if v, ok := r.spec.get(li, idx); ok {

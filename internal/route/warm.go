@@ -323,7 +323,12 @@ func newDeltaMask(g Grid) *deltaMask {
 
 // addSegments marks the GCells of every straight run — exactly the cells
 // walk visits when committing or uncommitting these segments.
-func (d *deltaMask) addSegments(segs []Segment) {
+func (d *deltaMask) addSegments(segs []Segment) { d.markSegments(segs, true) }
+
+// clearSegments unmarks the GCells addSegments marks for these segments.
+func (d *deltaMask) clearSegments(segs []Segment) { d.markSegments(segs, false) }
+
+func (d *deltaMask) markSegments(segs []Segment, v bool) {
 	for _, s := range segs {
 		c0, r0 := d.g.AtDBU(s.A)
 		c1, r1 := d.g.AtDBU(s.B)
@@ -336,7 +341,7 @@ func (d *deltaMask) addSegments(segs []Segment) {
 		for r := r0; r <= r1; r++ {
 			row := d.m[r*d.g.Cols : (r+1)*d.g.Cols]
 			for c := c0; c <= c1; c++ {
-				row[c] = true
+				row[c] = v
 			}
 		}
 	}
